@@ -7,7 +7,9 @@ passes need the same structure *before* code generation, over
 the compiler: it duck-types over any block object exposing a ``label``
 string and a ``successor_labels()`` iterable, so the dependency points
 the same way as the rest of :mod:`repro.cfg` (compiler imports cfg,
-never the reverse).
+never the reverse).  The DFS and natural-loop cores are the machine
+level's own (:mod:`repro.cfg.loops`), reached through label maps;
+dominators are likewise shared via ``_iterative_idoms``.
 
 Everything is computed on the subgraph *reachable from the entry block*
 (the first block).  Unreachable blocks legitimately exist mid-pipeline —
@@ -27,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from repro.cfg.dominators import _iterative_idoms
+from repro.cfg.loops import _natural_loop, _retreating_edges
 
 __all__ = ["IRLoop", "IRLoopNest", "compute_ir_loops"]
 
@@ -178,7 +181,9 @@ def compute_ir_loops(blocks: list[SupportsIRBlock]) -> IRLoopNest:
         for label in labels
     }
 
-    back_edges = _dfs_retreating_edges(nodes[entry], succs)
+    back_edges = tuple(
+        (src.label, dst.label) for src, dst in
+        _retreating_edges(nodes[entry], lambda n: succs.get(n, ())))
 
     nest = IRLoopNest(entry, labels, idom, pred_labels, back_edges, (), {})
     violations = tuple((src, dst) for src, dst in back_edges
@@ -192,7 +197,8 @@ def compute_ir_loops(blocks: list[SupportsIRBlock]) -> IRLoopNest:
             tails_by_head.setdefault(dst, []).append(src)
     order = {label: i for i, label in enumerate(labels)}
     for head, tails in tails_by_head.items():
-        body = _natural_loop(head, tails, pred_labels)
+        body = _natural_loop(head, tails,
+                             lambda label: pred_labels.get(label, ()))
         exits: list[tuple[str, str]] = []
         for label in sorted(body, key=order.__getitem__):
             for target in by_label[label].successor_labels():
@@ -203,44 +209,3 @@ def compute_ir_loops(blocks: list[SupportsIRBlock]) -> IRLoopNest:
             latches=tuple(sorted(tails, key=order.__getitem__)),
             exit_edges=tuple(exits))
     return nest
-
-
-def _dfs_retreating_edges(
-    entry: _Node, succs: dict[_Node, list[_Node]],
-) -> tuple[tuple[str, str], ...]:
-    """Retreating edges via iterative DFS (edge to a GRAY ancestor)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[int, int] = {id(entry): GRAY}
-    out: list[tuple[str, str]] = []
-    stack: list[tuple[_Node, int]] = [(entry, 0)]
-    while stack:
-        node, si = stack[-1]
-        children = succs.get(node, [])
-        if si < len(children):
-            stack[-1] = (node, si + 1)
-            child = children[si]
-            c = color.get(id(child), WHITE)
-            if c == GRAY:
-                out.append((node.label, child.label))
-            elif c == WHITE:
-                color[id(child)] = GRAY
-                stack.append((child, 0))
-        else:
-            color[id(node)] = BLACK
-            stack.pop()
-    return tuple(out)
-
-
-def _natural_loop(head: str, tails: list[str],
-                  preds: dict[str, tuple[str, ...]]) -> set[str]:
-    """Union of ``nat_loop`` bodies for all back edges ``tail -> head``."""
-    body = {head}
-    work = [t for t in tails if t not in body]
-    body.update(work)
-    while work:
-        label = work.pop()
-        for pred in preds.get(label, ()):
-            if pred not in body:
-                body.add(pred)
-                work.append(pred)
-    return body

@@ -17,11 +17,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, TypeVar
 
 from repro.cfg.dominators import DominatorInfo, compute_dominators
 from repro.cfg.graph import BasicBlock, ControlFlowGraph, Edge
 
 __all__ = ["LoopInfo", "analyze_loops"]
+
+N = TypeVar("N")
 
 
 @dataclass
@@ -65,39 +68,44 @@ class LoopInfo:
         return edge.dst.start_address <= edge.src.end_address
 
 
-def _dfs_back_edges(cfg: ControlFlowGraph) -> set[tuple[BasicBlock, BasicBlock]]:
-    """Back edges via iterative DFS from the entry (paper's definition)."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {id(b): WHITE for b in cfg.blocks}
-    back: set[tuple[BasicBlock, BasicBlock]] = set()
-    stack: list[tuple[BasicBlock, int]] = [(cfg.entry, 0)]
-    color[id(cfg.entry)] = GRAY
+def _retreating_edges(entry: N, successors: Callable[[N], Iterable[N]]
+                      ) -> list[tuple[N, N]]:
+    """Edges ``u -> v`` with ``v`` on the DFS stack (an ancestor of ``u``),
+    in discovery order, via iterative DFS from *entry*.
+
+    The one DFS core for both CFG levels: nodes are compared by identity,
+    and *successors* is how a level reaches a node's children.
+    """
+    seen = {id(entry)}
+    on_stack = {id(entry)}
+    out: list[tuple[N, N]] = []
+    stack = [(entry, iter(successors(entry)))]
     while stack:
-        node, si = stack[-1]
-        succs = node.successors
-        if si < len(succs):
-            stack[-1] = (node, si + 1)
-            child = succs[si]
-            c = color[id(child)]
-            if c == GRAY:
-                back.add((node, child))
-            elif c == WHITE:
-                color[id(child)] = GRAY
-                stack.append((child, 0))
+        node, children = stack[-1]
+        for child in children:
+            key = id(child)
+            if key in on_stack:
+                out.append((node, child))
+            elif key not in seen:
+                seen.add(key)
+                on_stack.add(key)
+                stack.append((child, iter(successors(child))))
+                break
         else:
-            color[id(node)] = BLACK
+            on_stack.discard(id(node))
             stack.pop()
-    return back
+    return out
 
 
-def _natural_loop(head: BasicBlock, tails: list[BasicBlock]) -> set[BasicBlock]:
-    """Union of nat_loop bodies for all back edges ``tail -> head``."""
+def _natural_loop(head: N, tails: Iterable[N],
+                  predecessors: Callable[[N], Iterable[N]]) -> set[N]:
+    """Union of ``nat_loop`` bodies for all back edges ``tail -> head``."""
     body = {head}
     work = [t for t in tails if t not in body]
     body.update(work)
     while work:
         node = work.pop()
-        for pred in node.predecessors:
+        for pred in predecessors(node):
             if pred not in body:
                 body.add(pred)
                 work.append(pred)
@@ -113,14 +121,16 @@ def analyze_loops(
     preheader identification); it is computed on demand otherwise.
     """
     info = LoopInfo(cfg)
-    info.back_edges = _dfs_back_edges(cfg)
+    info.back_edges = set(_retreating_edges(cfg.entry,
+                                            lambda b: b.successors))
 
     tails_by_head: dict[BasicBlock, list[BasicBlock]] = {}
     for src, dst in info.back_edges:
         tails_by_head.setdefault(dst, []).append(src)
 
     for head, tails in tails_by_head.items():
-        info.loops[head] = _natural_loop(head, tails)
+        info.loops[head] = _natural_loop(head, tails,
+                                         lambda b: b.predecessors)
 
     for head, body in info.loops.items():
         for block in body:

@@ -168,12 +168,11 @@ def characterize(programs: list[GenProgram], runner: SuiteRunner,
 
     *runner* must cover exactly these programs (see
     :func:`repro.gen.corpus.corpus_runner`); with ``parallelism > 1``
-    the shards prefetch through the process pool and the serial
-    aggregation below replays the memo caches, so results are identical
-    to a serial run by construction.
+    the shards prefetch through the process pool, which runs the same
+    execution kernel as a serial miss, and the aggregation below reads
+    the memo caches, so results are identical to a serial run.
     """
-    if runner.parallelism > 1:
-        runner.prefetch(dataset=dataset)
+    runner.prefetch(dataset=dataset)
     clusters: dict[str, ClusterStats] = {}
     for gp in programs:
         run = runner.run(gp.name, dataset)

@@ -8,11 +8,12 @@ and merges the results back into the parent deterministically:
 * each :class:`ShardJob` is a fully self-describing, picklable work order
   (effective inputs/limits after chaos overrides, optimization level,
   cache directory, optionally a pre-seeded or sabotaged executable);
-* the worker (:func:`run_shard`) replays exactly the serial runner's
-  semantics — typed-error capture, transient-fuel retry, artifact-cache
-  consultation — inside a private telemetry sink, and returns a
-  :class:`ShardResult` carrying the profile, the compiled artifact, any
-  classified failure, and a mergeable telemetry snapshot;
+* the worker (:func:`run_shard`) runs the harness's one execution
+  kernel — typed-error capture, transient-fuel retry, artifact-cache
+  consultation — the very function the serial runner calls in-process,
+  inside a private telemetry sink, and returns a :class:`ShardResult`
+  carrying the profile, the compiled artifact, any classified failure,
+  and a mergeable telemetry snapshot;
 * the parent (:class:`ParallelEngine`) collects results **in submission
   order** regardless of completion order, so downstream table/graph
   output is byte-identical to a serial run (the determinism suite in
@@ -198,26 +199,28 @@ def compile_artifact(benchmark: Benchmark, optimize: bool = True,
     return executable, analysis
 
 
-def _cacheable_failure(error: ReproError) -> bool:
-    """Deterministic failures only: wall-clock timeouts and engine-side
-    worker errors are functions of the machine, not of the key."""
-    return not isinstance(error, (SimulationTimeout, WorkerError))
-
-
 # --------------------------------------------------------------------------
-# the worker
+# the execution kernel and its process-boundary wrapper
 # --------------------------------------------------------------------------
+
+def _chaos_gate(benchmark: str) -> None:
+    """Worker-side chaos seams: die (``REPRO_CHAOS_WORKER_CRASH``) or
+    stall (``REPRO_CHAOS_SLOW_WORKER``) before executing *benchmark*.
+    Only ever called on the far side of a process boundary — an
+    in-process ``os._exit`` would take the parent down with it."""
+    if os.environ.get(CHAOS_WORKER_CRASH_ENV) == benchmark:
+        # simulate a hard worker death (no cleanup, no result)
+        os._exit(17)
+    delay = _chaos_slow_delay(benchmark)
+    if delay > 0:
+        sleep(delay)
+
 
 def run_shard(job: ShardJob) -> ShardResult:
     """Worker entry point: execute one shard inside a private telemetry
     sink and return a picklable result (never raises for pipeline
     failures — those come back classified)."""
-    if os.environ.get(CHAOS_WORKER_CRASH_ENV) == job.benchmark:
-        # chaos seam: simulate a hard worker death (no cleanup, no result)
-        os._exit(17)
-    delay = _chaos_slow_delay(job.benchmark)
-    if delay > 0:
-        sleep(delay)
+    _chaos_gate(job.benchmark)
     # Re-join the distributed trace on this side of the fork: spans the
     # worker records (and the trace_id tags on its telemetry snapshot's
     # spans) parent under the engine-side exec span named by the job.
@@ -228,73 +231,116 @@ def run_shard(job: ShardJob) -> ShardResult:
     sink = Telemetry(enabled=job.collect_telemetry)
     with _telemetry.use(sink):
         with _tracing.activate(ctx, process=f"worker:{os.getpid()}") as spans:
-            result = _run_shard_inner(job)
+            cache = (ArtifactCache(job.cache_dir)
+                     if job.cache_dir and not job.poisoned else None)
+            result = _run_shard_inner(job, cache)
     if job.collect_telemetry:
         result.telemetry = sink.snapshot()
     result.trace = spans
+    if cache is not None:
+        result.cache_stats = cache.stats()
     return result
 
 
-def _failure(job: ShardJob, error: ReproError,
-             cache: ArtifactCache | None, rkey: str | None = None,
-             retried: bool = False) -> ShardResult:
-    status = classify_failure(error)
-    # every worker-side failure ships the worker's black box (no-op if a
+def _compile_phase(job: ShardJob, cache: ArtifactCache | None
+                   ) -> tuple[Executable, ProgramAnalysis]:
+    """The job's (executable, analysis): the pre-seeded / sabotaged
+    artifact, else a cache-consulting compile.  Raises only typed
+    errors (annotated ``phase="compile"``)."""
+    try:
+        with _tracing.span("worker.compile", "worker",
+                           benchmark=job.benchmark):
+            if job.preseeded is not None:
+                return job.preseeded
+            return compile_artifact(get(job.benchmark),
+                                    optimize=job.optimize, cache=cache)
+    except ReproError:
+        raise
+    except Exception as exc:  # unknown benchmark, etc.
+        raise ReproError(
+            f"shard setup failed: {type(exc).__name__}: {exc}",
+            benchmark=job.benchmark, dataset=job.dataset,
+            phase="compile") from exc
+
+
+def _result(job: ShardJob, entry: dict,
+            pair: tuple = (None, None)) -> ShardResult:
+    """The :class:`ShardResult` for a run-cache payload, fresh or stored."""
+    error = entry.get("error")
+    return ShardResult(
+        benchmark=job.benchmark, dataset=job.dataset,
+        status=RunStatus.OK if entry["ok"] else classify_failure(error),
+        executable=pair[0], analysis=pair[1],
+        profile=entry.get("profile"), output=entry.get("output", ""),
+        instr_count=entry.get("instr_count", 0), error=error,
+        retried=entry.get("retried", False))
+
+
+def _failed(error: ReproError, retried: bool = False) -> dict:
+    # every failure ships the executing process's black box (no-op if a
     # deeper layer — e.g. the simulator's crash snapshot — already did)
     error.attach_flight(_flight.dump())
-    if (cache is not None and rkey is not None
-            and _cacheable_failure(error)):
-        cache.put(rkey, "run", {"ok": False, "error": error,
-                                "retried": retried})
-    return ShardResult(
-        benchmark=job.benchmark, dataset=job.dataset, status=status,
-        error=error, retried=retried,
-        cache_stats=cache.stats() if cache is not None else {})
+    return {"ok": False, "error": error, "retried": retried}
 
 
-def _simulate(job: ShardJob, executable: Executable,
-              budget: int, tm) -> tuple[EdgeProfile, object]:
-    profile = EdgeProfile()
-    with tm.span("simulate", category="harness", benchmark=job.benchmark,
-                 dataset=job.dataset):
-        machine = Machine(
-            executable, inputs=list(job.inputs), observers=[profile],
-            max_instructions=budget,
-            wall_clock_deadline=job.wall_clock_deadline,
-            max_memory_bytes=job.max_memory_bytes,
-            pc_sample_interval=job.pc_sample_interval,
-            engine=job.engine)
-        status = machine.run()
-    return profile, status
-
-
-def _run_shard_inner(job: ShardJob) -> ShardResult:
-    tm = _telemetry.get()
-    cache = (ArtifactCache(job.cache_dir)
-             if job.cache_dir and not job.poisoned else None)
-    with tm.span(f"run:{job.benchmark}/{job.dataset}", category="harness",
-                 benchmark=job.benchmark, dataset=job.dataset, shard=True):
-        # -- compile (or adopt the pre-seeded / sabotaged artifact) ----------
+def _simulate(job: ShardJob, executable: Executable, tm) -> dict:
+    """Simulate under the job's fuel-retry policy; returns the run-cache
+    payload (profile, output, instruction count — or the failure)."""
+    policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
+    attempt = 1
+    while True:
+        profile = EdgeProfile()
         try:
-            with _tracing.span("worker.compile", "worker",
-                               benchmark=job.benchmark):
-                if job.preseeded is not None:
-                    executable, analysis = job.preseeded
-                else:
-                    executable, analysis = compile_artifact(
-                        get(job.benchmark), optimize=job.optimize,
-                        cache=cache)
+            with (_tracing.span("worker.simulate", "worker",
+                                benchmark=job.benchmark,
+                                dataset=job.dataset, attempt=attempt),
+                  tm.span("simulate", category="harness",
+                          benchmark=job.benchmark, dataset=job.dataset)):
+                # construction can fault too (e.g. the data image exceeds
+                # an injected memory budget), so it sits inside the try
+                status = Machine(
+                    executable, inputs=list(job.inputs),
+                    observers=[profile],
+                    max_instructions=(job.fuel_budget
+                                      * policy.fuel_scale(attempt)),
+                    wall_clock_deadline=job.wall_clock_deadline,
+                    max_memory_bytes=job.max_memory_bytes,
+                    pc_sample_interval=job.pc_sample_interval,
+                    engine=job.engine).run()
+            return {"ok": True, "profile": profile, "output": status.output,
+                    "instr_count": status.instr_count,
+                    "retried": attempt > 1}
         except ReproError as exc:
-            return _failure(job, exc, cache)
-        except Exception as exc:  # unknown benchmark, etc.
-            wrapped = ReproError(
-                f"shard setup failed: {type(exc).__name__}: {exc}",
-                benchmark=job.benchmark, dataset=job.dataset,
-                phase="compile")
-            return _failure(job, wrapped, cache)
+            exc.with_context(benchmark=job.benchmark, dataset=job.dataset)
+            if not policy.should_retry(exc, attempt):
+                return _failed(exc, retried=attempt > 1)
+            attempt += 1
+            tm.counter("harness.retries").inc()
+            _flight.record("shard.retry", benchmark=job.benchmark,
+                           dataset=job.dataset, attempt=attempt,
+                           error=exc.code)
 
-        # -- consult the run cache -------------------------------------------
-        rkey = None
+
+def _run_shard_inner(job: ShardJob,
+                     cache: ArtifactCache | None) -> ShardResult:
+    """The execution kernel: compile → run-cache lookup → fuel retry →
+    failure negative-cache → store, for one (benchmark, dataset).
+
+    Both execution modes run exactly this: the serial
+    :class:`~repro.harness.runner.SuiteRunner` calls it in-process with
+    its own *cache* instance, :func:`run_shard` calls it in a pool
+    worker.  Never raises for pipeline failures; a failure after the
+    compile phase still carries the compiled artifact so the caller can
+    memoize it.
+    """
+    tm = _telemetry.get()
+    with tm.span(f"run:{job.benchmark}/{job.dataset}", category="harness",
+                 benchmark=job.benchmark, dataset=job.dataset):
+        try:
+            pair = _compile_phase(job, cache)
+        except ReproError as exc:
+            return _result(job, _failed(exc))
+        rkey = entry = None
         if cache is not None:
             ckey = compile_key(job.benchmark, get(job.benchmark).source(),
                                job.optimize, version=cache.version)
@@ -310,58 +356,14 @@ def _run_shard_inner(job: ShardJob) -> ShardResult:
                                               timeout_s=job.lease_wait_s)
             else:
                 entry = cache.get(rkey, "run")
-            if entry is not None:
-                if entry.get("ok"):
-                    return ShardResult(
-                        benchmark=job.benchmark, dataset=job.dataset,
-                        status=RunStatus.OK, executable=executable,
-                        analysis=analysis, profile=entry["profile"],
-                        output=entry["output"],
-                        instr_count=entry["instr_count"],
-                        retried=entry.get("retried", False),
-                        cache_stats=cache.stats())
-                return ShardResult(
-                    benchmark=job.benchmark, dataset=job.dataset,
-                    status=classify_failure(entry["error"]),
-                    error=entry["error"],
-                    retried=entry.get("retried", False),
-                    cache_stats=cache.stats())
-
-        # -- execute (same RetryPolicy semantics as the serial runner) -------
-        policy = RetryPolicy.from_fuel_factor(job.retry_fuel_factor)
-        attempt = 1
-        while True:
-            try:
-                with _tracing.span("worker.simulate", "worker",
-                                   benchmark=job.benchmark,
-                                   dataset=job.dataset, attempt=attempt):
-                    profile, status = _simulate(
-                        job, executable,
-                        job.fuel_budget * policy.fuel_scale(attempt), tm)
-                break
-            except ReproError as exc:
-                exc.with_context(benchmark=job.benchmark,
-                                 dataset=job.dataset)
-                if not policy.should_retry(exc, attempt):
-                    return _failure(job, exc, cache, rkey,
-                                    retried=attempt > 1)
-                attempt += 1
-                tm.counter("harness.retries").inc()
-                _flight.record("shard.retry", benchmark=job.benchmark,
-                               dataset=job.dataset, attempt=attempt,
-                               error=exc.code)
-        retried = attempt > 1
-
-        if cache is not None:
-            cache.put(rkey, "run", {
-                "ok": True, "profile": profile, "output": status.output,
-                "instr_count": status.instr_count, "retried": retried})
-        return ShardResult(
-            benchmark=job.benchmark, dataset=job.dataset,
-            status=RunStatus.OK, executable=executable, analysis=analysis,
-            profile=profile, output=status.output,
-            instr_count=status.instr_count, retried=retried,
-            cache_stats=cache.stats() if cache is not None else {})
+        if entry is None:
+            entry = _simulate(job, pair[0], tm)
+            # wall-clock timeouts and worker errors are functions of the
+            # machine, not of the key: only deterministic failures persist
+            if rkey is not None and (entry["ok"] or not isinstance(
+                    entry["error"], (SimulationTimeout, WorkerError))):
+                cache.put(rkey, "run", entry)
+        return _result(job, entry, pair)
 
 
 # --------------------------------------------------------------------------

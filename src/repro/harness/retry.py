@@ -1,15 +1,15 @@
 """Unified retry / backoff policy for every execution engine.
 
-Historically the serial :class:`~repro.harness.runner.SuiteRunner` and the
-parallel shard worker (:func:`repro.harness.parallel.run_shard`) each
-carried their own copy of the transient-failure classification ("a fuel
-limit is worth one retry at a raised budget; a wall-clock timeout is
-not").  Two copies of a classification rule is one copy too many: the
-moment they drift, serial and parallel runs of the same suite classify
-the same failure differently and the byte-identity guarantee silently
-dies.  :class:`RetryPolicy` is now the single owner of that rule; the
-serial runner, the shard worker, and the prediction service
-(:mod:`repro.service`) all consult the same instance semantics.
+:class:`RetryPolicy` is the single owner of the transient-failure
+classification ("a fuel limit is worth one retry at a raised budget; a
+wall-clock timeout is not").  Inside the harness only the one execution
+kernel, :func:`repro.harness.parallel._run_shard_inner`, calls
+:meth:`RetryPolicy.should_retry` and :meth:`RetryPolicy.fuel_scale`; the
+serial :class:`~repro.harness.runner.SuiteRunner` runs that kernel
+in-process and the shard worker runs it in a pool process, so the two
+modes cannot classify the same failure differently.  The prediction
+service (:mod:`repro.service`) consults the same policy for its crash
+redispatches.
 
 Two orthogonal retry axes are covered:
 

@@ -18,24 +18,29 @@ instruction-limit, and rendered by the table/graph generators as explicit
 :class:`EdgeProfile` and :class:`BenchmarkRun` for an attempt are built
 fresh per execution and only published to the memo cache on success.
 
-Scale-out (this layer's two new seams — see docs/performance.md):
+Execution: every memo miss runs the harness's one execution kernel,
+:func:`repro.harness.parallel._run_shard_inner` (compile → run-cache
+lookup → fuel retry → failure negative-cache → store).  The serial
+runner calls it in-process; the two scale-out seams below only change
+*where* it runs and *what* it remembers (see docs/performance.md):
 
 ``parallelism=N``
     :meth:`SuiteRunner.all_outcomes` (the entry point of every table and
     graph generator) first *prefetches* all missing (benchmark, dataset)
     shards through :class:`~repro.harness.parallel.ParallelEngine`, a
-    process pool whose workers replay exactly the serial semantics and
-    whose results are merged back in suite order — table/graph output is
+    process pool whose workers run that same kernel.  Their results are
+    adopted through the same :meth:`SuiteRunner._merge_shard` path a
+    serial miss uses, in suite order, so table/graph output is
     byte-identical to a serial run.  Worker telemetry snapshots are
     folded into the parent sink under per-shard ``parallel:shard`` spans.
 
 ``cache_dir=PATH``
-    Every compile and run additionally consults a persistent
-    content-addressed :class:`~repro.harness.cache.ArtifactCache`, so a
-    warm repeat invocation (same sources, same pipeline, same limits,
-    same version) costs unpickling instead of simulation.  Sabotaged
-    artifacts (chaos ``poison_*`` seams) bypass the cache entirely, and
-    wall-clock timeouts are never cached.
+    The kernel additionally consults a persistent content-addressed
+    :class:`~repro.harness.cache.ArtifactCache`, so a warm repeat
+    invocation (same sources, same pipeline, same limits, same version)
+    costs unpickling instead of simulation.  Sabotaged artifacts (chaos
+    ``poison_*`` seams) bypass the cache entirely, and wall-clock
+    timeouts are never cached.
 """
 
 from __future__ import annotations
@@ -46,12 +51,13 @@ from time import perf_counter
 
 from repro import telemetry as _telemetry
 from repro.bench.suite import Benchmark, Dataset, get, suite
-from repro.core.classify import ProgramAnalysis, classify_branches
+from repro.core.classify import ProgramAnalysis
 from repro.errors import ReproError
-from repro.harness.cache import ArtifactCache, compile_key, run_key
+from repro.harness.cache import ArtifactCache
+from repro.harness.parallel import ParallelEngine, ShardJob, _run_shard_inner
+from repro.harness.resilience import RunOutcome, RunStatus, classify_failure
 from repro.harness.retry import RetryPolicy
 from repro.isa.program import Executable
-from repro.sim import Machine, resolve_engine_name
 from repro.sim.profile import EdgeProfile
 
 __all__ = ["BenchmarkRun", "SuiteRunner"]
@@ -179,14 +185,13 @@ class SuiteRunner:
         self.engine = engine
         self.cache = ArtifactCache(cache_dir) if cache_dir else None
         self._compiled: dict[str, tuple[Executable, ProgramAnalysis]] = {}
-        self._compile_keys: dict[str, str] = {}
         self._runs: dict[tuple[str, str], BenchmarkRun] = {}
-        # negative caches (degraded mode): compile failures per benchmark,
-        # run failures per (benchmark, dataset, limits-fingerprint) — the
+        # negative caches: compile failures per benchmark, run failures
+        # per (benchmark, dataset, limits-fingerprint) — the
         # fingerprint keeps a fault injected under one set of limits from
         # poisoning reruns under different limits
         self._compile_failures: dict[str, ReproError] = {}
-        self._run_failures: dict[tuple, "RunOutcome"] = {}
+        self._run_failures: dict[tuple, RunOutcome] = {}
         # chaos / operator overrides, keyed (benchmark, dataset-or-None);
         # a None dataset applies to every dataset of the benchmark
         self._fuel_overrides: dict[tuple[str, str | None], int] = {}
@@ -206,9 +211,8 @@ class SuiteRunner:
 
     @property
     def retry_policy(self) -> RetryPolicy:
-        """The transient-retry policy this runner executes under
-        (shared classification with the parallel shard worker — see
-        :mod:`repro.harness.retry`)."""
+        """The transient-retry policy the execution kernel applies to
+        this runner's jobs (see :mod:`repro.harness.retry`)."""
         return RetryPolicy.from_fuel_factor(self._effective_retry_factor)
 
     @staticmethod
@@ -242,31 +246,6 @@ class SuiteRunner:
             return None
         return self.cache
 
-    def _compile_key_for(self, name: str) -> str:
-        key = self._compile_keys.get(name)
-        if key is None:
-            key = compile_key(name, get(name).source(), self.optimize,
-                              version=self.cache.version)
-            self._compile_keys[name] = key
-        return key
-
-    def _run_key_for(self, name: str, dataset: str) -> str | None:
-        """Persistent run-cache key, or ``None`` when it cannot be formed
-        (unknown benchmark/dataset — the execution path raises the typed
-        error instead)."""
-        try:
-            ds = get(name).dataset(dataset)
-        except (KeyError, ValueError):
-            return None
-        budget, keep, memory = self._effective_limits(name, dataset)
-        inputs = tuple(ds.inputs)
-        if keep is not None:
-            inputs = inputs[:keep]
-        return run_key(self._compile_key_for(name), dataset, inputs,
-                       budget, memory, self._effective_retry_factor,
-                       version=self.cache.version,
-                       engine=resolve_engine_name(self.engine))
-
     # -- compilation -----------------------------------------------------------
 
     def compiled(self, name: str) -> tuple[Executable, ProgramAnalysis]:
@@ -293,170 +272,58 @@ class SuiteRunner:
             tm.counter("harness.compile_cache.hit").inc()
         return self._compiled[name]
 
-    # -- execution -------------------------------------------------------------
-
-    def _execute(self, name: str, dataset: str,
-                 fuel_scale: int = 1) -> BenchmarkRun:
-        """One fresh profiled execution; never caches partial state."""
-        try:
-            benchmark = get(name)
-            ds = benchmark.dataset(dataset)
-        except (KeyError, ValueError) as exc:
-            raise ReproError(f"unknown benchmark or dataset: {exc}",
-                             benchmark=name, dataset=dataset,
-                             phase="setup") from exc
-        executable, analysis = self.compiled(name)
-        budget, keep, memory = self._effective_limits(name, dataset)
-        inputs = list(ds.inputs)
-        if keep is not None:
-            inputs = inputs[:keep]
-        profile = EdgeProfile()
-        try:
-            # construction can fault too (e.g. the data image exceeds an
-            # injected memory budget), so it sits inside the try
-            with _telemetry.get().span("simulate", category="harness",
-                                       benchmark=name, dataset=dataset):
-                machine = Machine(
-                    executable, inputs=inputs, observers=[profile],
-                    max_instructions=budget * fuel_scale,
-                    wall_clock_deadline=self.wall_clock_deadline,
-                    max_memory_bytes=memory,
-                    pc_sample_interval=self.pc_sample_interval,
-                    engine=self.engine)
-                status = machine.run()
-        except ReproError as exc:
-            raise exc.with_context(benchmark=name, dataset=dataset)
-        return BenchmarkRun(
-            benchmark=benchmark, dataset=ds, executable=executable,
-            analysis=analysis, profile=profile, output=status.output,
-            instr_count=status.instr_count)
-
-    # -- persistent-cache plumbing ---------------------------------------------
-
-    def _store_failure_entry(self, cache: ArtifactCache | None,
-                             rkey: str | None, error: ReproError,
-                             retried: bool) -> None:
-        from repro.harness.parallel import _cacheable_failure
-        if cache is not None and rkey is not None \
-                and _cacheable_failure(error):
-            cache.put(rkey, "run", {"ok": False, "error": error,
-                                    "retried": retried})
-
-    def _outcome_from_entry(self, name: str, dataset: str,
-                            entry: dict) -> "RunOutcome | None":
-        """Rebuild a RunOutcome from a persistent run entry.
-
-        Returns ``None`` when the entry cannot be applied (e.g. the
-        matching compile artifact is gone) — the caller falls back to a
-        fresh execution.
-        """
-        from repro.harness.resilience import (
-            RunOutcome, RunStatus, classify_failure,
-        )
-        if not entry.get("ok"):
-            error = entry["error"]
-            if self.strict:
-                raise error
-            return self._failure_outcome(
-                name, dataset, classify_failure(error), error,
-                retried=entry.get("retried", False))
-        try:
-            executable, analysis = self.compiled(name)
-        except ReproError:
-            return None  # inconsistent cache: recompute from scratch
-        try:
-            benchmark = get(name)
-            ds = benchmark.dataset(dataset)
-        except (KeyError, ValueError):
-            return None
-        run = BenchmarkRun(
-            benchmark=benchmark, dataset=ds, executable=executable,
-            analysis=analysis, profile=entry["profile"],
-            output=entry["output"], instr_count=entry["instr_count"])
-        self._runs[(name, dataset)] = run
-        return RunOutcome(name, dataset, RunStatus.OK, run=run,
-                          retried=entry.get("retried", False))
-
     # -- outcomes --------------------------------------------------------------
 
-    def outcome(self, name: str, dataset: str = "ref") -> "RunOutcome":
+    def outcome(self, name: str, dataset: str = "ref") -> RunOutcome:
         """Run (memoized) and wrap the result in a
         :class:`~repro.harness.resilience.RunOutcome`.
 
         In strict mode failures propagate; in degraded mode they come back
         as classified, negative-cached failure outcomes.
         """
-        from repro.harness.resilience import (
-            RunOutcome, RunStatus, classify_failure,
-        )
         tm = _telemetry.get()
-        key = (name, dataset)
-        run = self._runs.get(key)
+        run = self._runs.get((name, dataset))
         if run is not None:
             tm.counter("harness.run_cache.hit").inc()
             return RunOutcome(name, dataset, RunStatus.OK, run=run)
         if name in self._skipped:
             tm.counter("harness.skipped").inc()
             outcome = RunOutcome(name, dataset, RunStatus.SKIPPED)
-            if self.strict:
-                outcome.require()  # raises
-            return outcome
-        cached = self._run_failures.get(self._failure_key(name, dataset))
-        if cached is not None:
+        elif (outcome := self._run_failures.get(
+                self._failure_key(name, dataset))) is not None:
             tm.counter("harness.run_cache.negative_hit").inc()
-            if self.strict:
-                raise cached.error
-            return cached
-        tm.counter("harness.run_cache.miss").inc()
-        retried = False
-        cache = self._disk_cache_for(name)
-        rkey = self._run_key_for(name, dataset) if cache is not None else None
-        with tm.span(f"run:{name}/{dataset}", category="harness",
-                     benchmark=name, dataset=dataset):
-            if rkey is not None:
-                entry = cache.get(rkey, "run")
-                if entry is not None:
-                    outcome = self._outcome_from_entry(name, dataset, entry)
-                    if outcome is not None:
-                        return outcome
-            policy = self.retry_policy
-            attempt = 1
-            while True:
-                try:
-                    run = self._execute(
-                        name, dataset, fuel_scale=policy.fuel_scale(attempt))
-                    break
-                except ReproError as exc:
-                    if self.strict:
-                        self._store_failure_entry(cache, rkey, exc,
-                                                  retried=False)
-                        raise
-                    if not policy.should_retry(exc, attempt):
-                        outcome = self._failure_outcome(
-                            name, dataset, classify_failure(exc), exc,
-                            retried=attempt > 1)
-                        self._store_failure_entry(cache, rkey, exc,
-                                                  retried=attempt > 1)
-                        return outcome
-                    attempt += 1
-                    retried = True
-                    tm.counter("harness.retries").inc()
-        self._runs[key] = run
-        if rkey is not None:
-            cache.put(rkey, "run", {
-                "ok": True, "profile": run.profile, "output": run.output,
-                "instr_count": run.instr_count, "retried": retried})
-        return RunOutcome(name, dataset, RunStatus.OK, run=run,
-                          retried=retried)
+        else:
+            tm.counter("harness.run_cache.miss").inc()
+            error = self._compile_failures.get(name)
+            job = self._shard_job(name, dataset) if error is None else None
+            if job is not None:
+                # the execution kernel, in-process on the runner's cache;
+                # its result is adopted exactly like a parallel shard's
+                tm.counter("harness.compile_cache.hit"
+                           if job.preseeded is not None
+                           else "harness.compile_cache.miss").inc()
+                outcome = self._merge_shard(
+                    _run_shard_inner(job, self._disk_cache_for(name)), tm)
+            else:
+                if error is None:
+                    error = ReproError(
+                        f"unknown benchmark or dataset: {name}/{dataset}",
+                        benchmark=name, dataset=dataset, phase="setup")
+                outcome = self._failure_outcome(
+                    name, dataset, classify_failure(error), error)
+        if self.strict:
+            outcome.require()  # raises the typed error
+        return outcome
 
     def _failure_outcome(self, name: str, dataset: str, status,
                          error: ReproError,
-                         retried: bool = False) -> "RunOutcome":
-        """Build, negative-cache, and count one degraded-mode failure."""
-        from repro.harness.resilience import RunOutcome
-        tm = _telemetry.get()
-        tm.counter("harness.degraded_failures").inc()
-        tm.labeled_counter("harness.failures_by_status").inc(status.value)
+                         retried: bool = False) -> RunOutcome:
+        """Build and negative-cache one failure; degraded mode also
+        counts it (strict mode raises it instead of reporting it)."""
+        if not self.strict:
+            tm = _telemetry.get()
+            tm.counter("harness.degraded_failures").inc()
+            tm.labeled_counter("harness.failures_by_status").inc(status.value)
         outcome = RunOutcome(name, dataset, status, error=error,
                              retried=retried)
         self._run_failures[self._failure_key(name, dataset)] = outcome
@@ -475,13 +342,15 @@ class SuiteRunner:
                 and self._failure_key(name, dataset)
                 not in self._run_failures)
 
-    def _shard_job(self, name: str, dataset: str):
-        from repro.harness.parallel import ShardJob
+    def _shard_job(self, name: str, dataset: str) -> ShardJob | None:
+        """The kernel's work order for one pair, or ``None`` when the
+        benchmark or dataset is unknown (:meth:`outcome` then reports the
+        typed error)."""
         budget, keep, memory = self._effective_limits(name, dataset)
         try:
             ds = get(name).dataset(dataset)
         except (KeyError, ValueError):
-            return None  # let the serial path raise the typed error
+            return None
         inputs = tuple(ds.inputs)
         if keep is not None:
             inputs = inputs[:keep]
@@ -501,8 +370,9 @@ class SuiteRunner:
             preseeded=self._compiled.get(name),
             poisoned=poisoned)
 
-    def _merge_shard(self, result, tm, offset_us: int) -> None:
-        from repro.harness.resilience import RunStatus
+    def _merge_shard(self, result, tm, offset_us: int = 0) -> RunOutcome:
+        """Adopt one kernel result (in-process or from a pool worker)
+        into the memo and negative caches; returns its outcome."""
         if self.cache is not None and result.cache_stats:
             # fold worker-side cache traffic into the parent's counters so
             # stats()/CLI footers reflect the whole batch, not just the
@@ -518,31 +388,27 @@ class SuiteRunner:
                          status=result.status.value):
                 tm.merge_snapshot(result.telemetry,
                                   start_offset_us=offset_us)
-        if result.ok:
-            pair = self._compiled.get(result.benchmark)
-            if pair is None and result.executable is not None:
-                pair = (result.executable, result.analysis)
-                self._compiled[result.benchmark] = pair
-            if pair is None:  # defensive: malformed OK result
-                return
-            executable, analysis = pair
-            benchmark = get(result.benchmark)
-            run = BenchmarkRun(
-                benchmark=benchmark,
-                dataset=benchmark.dataset(result.dataset),
-                executable=executable, analysis=analysis,
-                profile=result.profile, output=result.output,
-                instr_count=result.instr_count)
-            self._runs[(result.benchmark, result.dataset)] = run
-        elif result.status is RunStatus.COMPILE_FAILED:
-            # seed the compile negative cache; the serial replay loop
-            # classifies and counts it exactly like a cold compile failure
+        if result.executable is not None:
+            # a pre-seeded (possibly sabotaged) artifact stays authoritative
+            self._compiled.setdefault(result.benchmark,
+                                      (result.executable, result.analysis))
+        if result.status is RunStatus.COMPILE_FAILED:
             self._compile_failures.setdefault(result.benchmark, result.error)
             tm.counter("harness.compile_failures").inc()
-        else:
-            self._failure_outcome(result.benchmark, result.dataset,
-                                  result.status, result.error,
-                                  retried=result.retried)
+        if not result.ok:
+            return self._failure_outcome(result.benchmark, result.dataset,
+                                         result.status, result.error,
+                                         retried=result.retried)
+        executable, analysis = self._compiled[result.benchmark]
+        benchmark = get(result.benchmark)
+        run = BenchmarkRun(
+            benchmark=benchmark, dataset=benchmark.dataset(result.dataset),
+            executable=executable, analysis=analysis,
+            profile=result.profile, output=result.output,
+            instr_count=result.instr_count)
+        self._runs[(result.benchmark, result.dataset)] = run
+        return RunOutcome(result.benchmark, result.dataset, RunStatus.OK,
+                          run=run, retried=result.retried)
 
     def prefetch(self, dataset: str = "ref") -> int:
         """Execute every missing (benchmark, *dataset*) shard in parallel.
@@ -554,7 +420,6 @@ class SuiteRunner:
         """
         if self.parallelism <= 1:
             return 0
-        from repro.harness.parallel import ParallelEngine
         pending = [name for name in self.benchmark_names
                    if self._needs_run(name, dataset)]
         jobs = [job for job in (self._shard_job(name, dataset)
@@ -570,7 +435,7 @@ class SuiteRunner:
             self._merge_shard(result, tm, offset_us)
         return len(results)
 
-    def all_outcomes(self, dataset: str = "ref") -> list["RunOutcome"]:
+    def all_outcomes(self, dataset: str = "ref") -> list[RunOutcome]:
         """Outcomes for every benchmark, in suite order (degraded mode:
         failures come back as FAILED outcomes instead of raising).
 
@@ -579,8 +444,7 @@ class SuiteRunner:
         replays the memo caches, preserving strict-mode raise order and
         degraded-mode FAILED classification exactly.
         """
-        if self.parallelism > 1:
-            self.prefetch(dataset=dataset)
+        self.prefetch(dataset=dataset)
         return [self.outcome(name, dataset) for name in self.benchmark_names]
 
     def all_runs(self, dataset: str = "ref") -> list[BenchmarkRun]:

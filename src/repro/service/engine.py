@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
 from dataclasses import dataclass
-from time import perf_counter, sleep
+from time import perf_counter
 
 from repro import telemetry as _telemetry
 from repro.telemetry import flight as _flight
@@ -58,8 +57,7 @@ from repro.errors import (
 )
 from repro.harness.cache import ArtifactCache
 from repro.harness.parallel import (
-    CHAOS_WORKER_CRASH_ENV, ShardJob, ShardResult, _chaos_slow_delay,
-    compile_artifact, run_shard,
+    ShardJob, ShardResult, _chaos_gate, _compile_phase, run_shard,
 )
 from repro.harness.resilience import RunStatus, classify_failure
 from repro.harness.retry import RetryPolicy
@@ -117,38 +115,26 @@ def execute_order(order: ServiceOrder) -> ShardResult:
     """Worker entry point for service jobs (module-level so it pickles).
 
     Simulate/predict orders reuse the shard worker verbatim; compile
-    orders run just the compile+classify phase (with the same chaos
-    seams, so drills exercise every job kind).
+    orders pass the same chaos gate and run just the kernel's compile
+    phase, so drills exercise every job kind.
     """
     if order.kind != JobKind.COMPILE.value:
         return run_shard(order.shard)
     job = order.shard
-    if os.environ.get(CHAOS_WORKER_CRASH_ENV) == job.benchmark:
-        os._exit(17)
-    delay = _chaos_slow_delay(job.benchmark)
-    if delay > 0:
-        sleep(delay)
+    _chaos_gate(job.benchmark)
     cache = ArtifactCache(job.cache_dir) if job.cache_dir else None
     try:
-        executable, analysis = compile_artifact(
-            get(job.benchmark), optimize=job.optimize, cache=cache)
+        executable, analysis = _compile_phase(job, cache)
+        result = ShardResult(
+            benchmark=job.benchmark, dataset=job.dataset,
+            status=RunStatus.OK, executable=executable, analysis=analysis)
     except ReproError as exc:
-        return ShardResult(
+        result = ShardResult(
             benchmark=job.benchmark, dataset=job.dataset,
-            status=classify_failure(exc), error=exc,
-            cache_stats=cache.stats() if cache is not None else {})
-    except Exception as exc:
-        wrapped = ReproError(
-            f"compile order failed: {type(exc).__name__}: {exc}",
-            benchmark=job.benchmark, phase="compile")
-        return ShardResult(
-            benchmark=job.benchmark, dataset=job.dataset,
-            status=classify_failure(wrapped), error=wrapped,
-            cache_stats=cache.stats() if cache is not None else {})
-    return ShardResult(
-        benchmark=job.benchmark, dataset=job.dataset, status=RunStatus.OK,
-        executable=executable, analysis=analysis,
-        cache_stats=cache.stats() if cache is not None else {})
+            status=classify_failure(exc), error=exc)
+    if cache is not None:
+        result.cache_stats = cache.stats()
+    return result
 
 
 def _rates(result) -> dict:
